@@ -37,79 +37,34 @@ func buildIm2ColPanel8(panel, padded []int8, l *LayerHW) {
 	}
 }
 
-// runConvGEMM is the quantized im2col+GEMM convolution: per input-channel
-// pass the padded code plane is unrolled into the tap-major panel, then the
-// register-tiled int32 microkernel drives the output-channel bands over it.
-// The dequantize/activate/requantize tail is identical to the direct int8
-// path's, so the error accounting is unchanged.
-func (x *peExecInt8) runConvGEMM(l *LayerHW, st *peLayerInt8, cur []int8, inScale float64, out []int8) (float64, error) {
-	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
-	outHW := l.OutShape.Height * l.OutShape.Width
-	inHW := l.InShape.Height * l.InShape.Width
-	kk := k * k
-	if st.streamBytes > 0 {
-		x.dm.AccountReadBytes(st.streamBytes)
-	}
-	x.partial = growInt32(x.partial, f*outHW)
-	partial := x.partial
-	clear(partial)
-	x.panel = growInt8(x.panel, kk*outHW)
-	panel := x.panel
-	outBands := x.pe.Par.Normalize().Out
-	for ci := 0; ci < c; ci++ {
-		padded := x.padChannel(l, cur[ci*inHW:(ci+1)*inHW])
-		buildIm2ColPanel8(panel, padded, l)
-		x.pool.bands(f, outBands, func(_, lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				base := (fi*c + ci) * kk
-				acc := partial[fi*outHW : (fi+1)*outHW]
-				pos := 0
-				for ; pos+gemmPosTile <= outHW; pos += gemmPosTile {
-					a0, a1, a2, a3 := acc[pos], acc[pos+1], acc[pos+2], acc[pos+3]
-					for t := 0; t < kk; t++ {
-						wv := int32(st.w[base+t])
-						row := panel[t*outHW+pos : t*outHW+pos+gemmPosTile]
-						a0 += wv * int32(row[0])
-						a1 += wv * int32(row[1])
-						a2 += wv * int32(row[2])
-						a3 += wv * int32(row[3])
-					}
-					acc[pos], acc[pos+1], acc[pos+2], acc[pos+3] = a0, a1, a2, a3
-				}
-				for ; pos < outHW; pos++ {
-					a := acc[pos]
-					for t := 0; t < kk; t++ {
-						a += int32(st.w[base+t]) * int32(panel[t*outHW+pos])
-					}
-					acc[pos] = a
-				}
-			}
-		})
-		x.stats.WindowsRead += int64(outHW)
-		x.stats.MACs += int64(f) * int64(kk) * int64(outHW)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
+// gemmAccInt8 is the int8 GEMM microkernel of one (output channel, input
+// channel) pair: acc[pos] += Σ_t w[t]·panel[t·P+pos] over the tap-major
+// im2col panel, P = len(acc) output positions, w the pair's K² weight codes.
+// It sweeps the output plane once per block of four taps, with the block's
+// codes widened into registers: four panel loads and one accumulator update
+// per four MACs.
+func gemmAccInt8(acc []int32, panel, w []int8) {
+	n := len(acc)
+	t := 0
+	for ; t+4 <= len(w); t += 4 {
+		w0, w1, w2, w3 := int32(w[t]), int32(w[t+1]), int32(w[t+2]), int32(w[t+3])
+		r0 := panel[t*n : (t+1)*n]
+		r1 := panel[(t+1)*n : (t+2)*n][:len(r0)]
+		r2 := panel[(t+2)*n : (t+3)*n][:len(r0)]
+		r3 := panel[(t+3)*n : (t+4)*n][:len(r0)]
+		a := acc[:len(r0)]
+		for i, v := range r0 {
+			a[i] += w0*int32(v) + w1*int32(r1[i]) + w2*int32(r2[i]) + w3*int32(r3[i])
 		}
 	}
-	x.floatBuf = growSlice(x.floatBuf, f*outHW)
-	fb := x.floatBuf
-	deq := st.wScale * inScale
-	x.pool.bands(f, outBands, func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			var bias float64
-			if len(st.b) > 0 {
-				bias = float64(st.b[fi])
-			}
-			off := fi * outHW
-			for pos := 0; pos < outHW; pos++ {
-				fb[off+pos] = applyActivation(l.Activation, float32(float64(partial[off+pos])*deq+bias))
-			}
+	for ; t < len(w); t++ {
+		wt := int32(w[t])
+		r := panel[t*n : (t+1)*n]
+		a := acc[:len(r)]
+		for i, v := range r {
+			a[i] += wt * int32(v)
 		}
-	})
-	outScale := frameScale(fb)
-	quant.QuantizeInto(out, fb, outScale)
-	return outScale, nil
+	}
 }
 
 // runConvWinograd is the packed-datapath F(2,3) convolution: input codes are

@@ -275,12 +275,9 @@ func (x *peExecInt8) runImage(img int) error {
 		var outScale float64
 		switch l.Kind {
 		case nn.Conv:
-			switch l.Algo() {
-			case AlgoGEMM:
-				outScale, err = x.runConvGEMM(l, st, cur, scale, out)
-			case AlgoWinograd:
+			if l.Algo() == AlgoWinograd {
 				outScale, err = x.runConvWinograd(l, st, cur, scale, out)
-			default:
+			} else {
 				outScale, err = x.runConv(l, st, cur, scale, out)
 			}
 		case nn.MaxPool, nn.AvgPool:
@@ -338,60 +335,43 @@ func (x *peExecInt8) padChannel(l *LayerHW, chmap []int8) []int8 {
 	return padded
 }
 
-// runConv is the quantized convolutional PE: per input-channel pass, every
-// window position accumulates int8 products into the int32 partial buffer,
+// runConv is the quantized convolutional PE for the direct and im2col+GEMM
+// schedules: per input-channel pass, every (output channel, input channel)
+// pair adds its window sums to the output channel's int32 partial plane,
 // output channels banded across the worker pool. After the last pass the
 // accumulators are dequantized (acc · wScale · inScale + bias), activated in
-// float, and requantized with a fresh per-tensor scale.
+// float, and requantized with a fresh per-tensor scale. Every sum is int32,
+// so both schedules give the same codes whatever their accumulation order.
 func (x *peExecInt8) runConv(l *LayerHW, st *peLayerInt8, cur []int8, inScale float64, out []int8) (float64, error) {
 	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
-	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
+	outHW := l.OutShape.Height * l.OutShape.Width
 	inHW := l.InShape.Height * l.InShape.Width
-	pw := l.PaddedWidth()
-	stride := l.Stride
 	kk := k * k
+	gemm := l.Algo() == AlgoGEMM
 	if st.streamBytes > 0 {
 		x.dm.AccountReadBytes(st.streamBytes)
 	}
 	x.partial = growInt32(x.partial, f*outHW)
 	partial := x.partial
 	clear(partial)
+	if gemm {
+		x.panel = growInt8(x.panel, kk*outHW)
+	}
+	panel := x.panel
 	outBands := x.pe.Par.Normalize().Out
 	for ci := 0; ci < c; ci++ {
 		padded := x.padChannel(l, cur[ci*inHW:(ci+1)*inHW])
+		if gemm {
+			buildIm2ColPanel8(panel, padded, l)
+		}
 		x.pool.bands(f, outBands, func(_, lo, hi int) {
 			for fi := lo; fi < hi; fi++ {
-				wbase := (fi*c + ci) * kk
-				off := fi * outHW
-				for oy := 0; oy < outH; oy++ {
-					iy0 := oy * stride
-					for ox := 0; ox < outW; ox++ {
-						ix0 := ox * stride
-						var acc int32
-						if k == 5 {
-							// The paper's models are all 5×5 convs; a fixed
-							// unroll with full-length slices lets the compiler
-							// drop every bounds check from the MAC chain.
-							for m := 0; m < 5; m++ {
-								rb, wb := (iy0+m)*pw+ix0, wbase+m*5
-								r := padded[rb : rb+5]
-								w := st.w[wb : wb+5]
-								acc += int32(w[0])*int32(r[0]) + int32(w[1])*int32(r[1]) +
-									int32(w[2])*int32(r[2]) + int32(w[3])*int32(r[3]) +
-									int32(w[4])*int32(r[4])
-							}
-						} else {
-							for m := 0; m < k; m++ {
-								row := padded[(iy0+m)*pw+ix0:]
-								wrow := st.w[wbase+m*k:]
-								for n := 0; n < k; n++ {
-									acc += int32(wrow[n]) * int32(row[n])
-								}
-							}
-						}
-						partial[off+oy*outW+ox] += acc
-					}
+				acc := partial[fi*outHW : (fi+1)*outHW]
+				w := st.w[(fi*c+ci)*kk : (fi*c+ci+1)*kk]
+				if gemm {
+					gemmAccInt8(acc, panel, w)
+				} else {
+					convAccInt8(acc, padded, w, l)
 				}
 			}
 		})
@@ -420,6 +400,68 @@ func (x *peExecInt8) runConv(l *LayerHW, st *peLayerInt8, cur []int8, inScale fl
 	outScale := frameScale(fb)
 	quant.QuantizeInto(out, fb, outScale)
 	return outScale, nil
+}
+
+// convAccInt8 adds one (output channel, input channel) pair's window sums to
+// acc, the output channel's outH×outW int32 plane, from padded, the
+// zero-padded input channel, and w, the pair's K² weight codes. 5×5/stride-1
+// layers (every conv of the paper's models) take conv5x5Int8; any other
+// geometry walks row-stationary: each tap scales one strided input row into
+// one output row.
+func convAccInt8(acc []int32, padded, w []int8, l *LayerHW) {
+	k, stride, pw, outW := l.Kernel, l.Stride, l.PaddedWidth(), l.OutShape.Width
+	if k == 5 && stride == 1 {
+		conv5x5Int8(acc, padded, w, pw, outW)
+		return
+	}
+	for oy := 0; oy < len(acc)/outW; oy++ {
+		dst := acc[oy*outW : (oy+1)*outW]
+		for m := 0; m < k; m++ {
+			row := padded[(oy*stride+m)*pw:]
+			for n, wv := range w[m*k : (m+1)*k] {
+				wt := int32(wv)
+				if stride == 1 {
+					src := row[n : n+outW]
+					d := dst[:len(src)]
+					for i, v := range src {
+						d[i] += wt * int32(v)
+					}
+				} else {
+					src := row[n : n+(outW-1)*stride+1]
+					for i := range dst {
+						dst[i] += wt * int32(src[i*stride])
+					}
+				}
+			}
+		}
+	}
+}
+
+// conv5x5Int8 is convAccInt8 for a 5×5/stride-1 window. The 25 codes are
+// widened once into a local array; each kernel row then slides a five-lane
+// register window along its input row, so every output costs one input load
+// and five register MACs per kernel row, with no bounds check in the loop.
+func conv5x5Int8(acc []int32, padded, w []int8, pw, outW int) {
+	var wk [25]int32
+	for i, v := range w[:25] {
+		wk[i] = int32(v)
+	}
+	for oy := 0; oy < len(acc)/outW; oy++ {
+		dst := acc[oy*outW : (oy+1)*outW]
+		for m := 0; m < 5; m++ {
+			wr := wk[5*m : 5*m+5]
+			w0, w1, w2, w3, w4 := wr[0], wr[1], wr[2], wr[3], wr[4]
+			src := padded[(oy+m)*pw:][:outW+4]
+			x0, x1, x2, x3 := int32(src[0]), int32(src[1]), int32(src[2]), int32(src[3])
+			src = src[4:]
+			d := dst[:len(src)]
+			for i, v := range src {
+				x4 := int32(v)
+				d[i] += w0*x0 + w1*x1 + w2*x2 + w3*x3 + w4*x4
+				x0, x1, x2, x3 = x1, x2, x3, x4
+			}
+		}
+	}
 }
 
 // runPool is the quantized sub-sampling PE. Max pooling with no folded
@@ -508,22 +550,20 @@ func (x *peExecInt8) runFC(l *LayerHW, st *peLayerInt8, cur []int8, inScale floa
 	if st.streamBytes > 0 {
 		x.dm.AccountReadBytes(st.streamBytes)
 	}
+	x.partial = growInt32(x.partial, o)
+	partial := x.partial
 	x.floatBuf = growSlice(x.floatBuf, o)
 	fb := x.floatBuf[:o]
 	deq := st.wScale * inScale
 	in := cur[:v]
 	x.pool.bands(o, x.pe.Par.Normalize().Out, func(_, lo, hi int) {
+		fcInt8(partial[lo:hi], st.w[lo*v:hi*v], in)
 		for oi := lo; oi < hi; oi++ {
-			var acc int32
-			wrow := st.w[oi*v : (oi+1)*v]
-			for h, xv := range in {
-				acc += int32(wrow[h]) * int32(xv)
-			}
 			var bias float64
 			if len(st.b) > 0 {
 				bias = float64(st.b[oi])
 			}
-			fb[oi] = float32(float64(acc)*deq + bias)
+			fb[oi] = float32(float64(partial[oi])*deq + bias)
 		}
 	})
 	x.stats.MACs += int64(o) * int64(v)
@@ -537,3 +577,37 @@ func (x *peExecInt8) runFC(l *LayerHW, st *peLayerInt8, cur []int8, inScale floa
 	quant.QuantizeInto(out, fb, outScale)
 	return outScale, nil
 }
+
+// fcInt8 sets acc[i] to the int32 dot product of in with weight row i of w
+// (len(acc) rows of len(in) codes). The kernel is register-blocked over
+// fcRowBlock neurons, which share every input load.
+func fcInt8(acc []int32, w, in []int8) {
+	v := len(in)
+	o := 0
+	for ; o+fcRowBlock <= len(acc); o += fcRowBlock {
+		w0 := w[o*v : (o+1)*v][:len(in)]
+		w1 := w[(o+1)*v : (o+2)*v][:len(in)]
+		w2 := w[(o+2)*v : (o+3)*v][:len(in)]
+		w3 := w[(o+3)*v : (o+4)*v][:len(in)]
+		var a0, a1, a2, a3 int32
+		for h, xv := range in {
+			xh := int32(xv)
+			a0 += int32(w0[h]) * xh
+			a1 += int32(w1[h]) * xh
+			a2 += int32(w2[h]) * xh
+			a3 += int32(w3[h]) * xh
+		}
+		acc[o], acc[o+1], acc[o+2], acc[o+3] = a0, a1, a2, a3
+	}
+	for ; o < len(acc); o++ {
+		wr := w[o*v : (o+1)*v][:len(in)]
+		var a int32
+		for h, xv := range in {
+			a += int32(wr[h]) * int32(xv)
+		}
+		acc[o] = a
+	}
+}
+
+// fcRowBlock is the number of output neurons fcInt8 accumulates at once.
+const fcRowBlock = 4

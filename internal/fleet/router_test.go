@@ -186,10 +186,24 @@ func TestRouterFailoverToHealthyReplica(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	// Spread requests over many hash keys so some pick the failing node as
-	// primary; every one must still complete via the healthy replica.
-	for i := 0; i < 20; i++ {
-		resp := postInfer(t, front.URL, map[string]string{ModelHeader: fmt.Sprintf("m-%d", i)})
+	// Ports are random, so pick hash keys whose ring order puts the failing
+	// node first: with one request in flight at a time the router tries
+	// candidates in ring order, so every request below fails over, and each
+	// must still complete via the healthy replica. The counter leads the key
+	// because keys that differ only in their last bytes hash close together
+	// on the ring and can all land on one node.
+	var keys []string
+	for i := 0; len(keys) < 20 && i < 1000; i++ {
+		key := fmt.Sprintf("%d-m", i)
+		if c := rt.Membership().Candidates(key, 2); len(c) == 2 && c[0].url == bad.srv.URL {
+			keys = append(keys, key)
+		}
+	}
+	if len(keys) == 0 {
+		t.Fatal("no hash key in 0-m…999-m puts the failing node first")
+	}
+	for i, key := range keys {
+		resp := postInfer(t, front.URL, map[string]string{ModelHeader: key})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d, want 200 via failover", i, resp.StatusCode)
 		}

@@ -177,11 +177,14 @@ func (s *Server) SubmitDetailed(ctx context.Context, img *tensor.Tensor) (Submit
 		s.mu.Unlock()
 		return SubmitResult{}, ErrClosed
 	}
+	// Count the request in before it is visible to the batcher: once sent,
+	// it can be finished (and counted out) before this goroutine runs again.
+	s.admitted.Add(1)
+	s.stats.admit()
 	select {
 	case s.queue <- req:
-		s.admitted.Add(1)
-		s.stats.admit()
 	default:
+		s.admitted.Done()
 		s.mu.Unlock()
 		s.stats.reject()
 		return SubmitResult{}, ErrQueueFull

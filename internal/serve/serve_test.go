@@ -378,6 +378,55 @@ func TestConcurrentClientsRace(t *testing.T) {
 	}
 }
 
+// Admission race stress: with an instant backend, MaxBatch 1 and half the
+// requests already cancelled (the batcher settles those on receipt), a
+// request can be finished before its submitter returns from the queue send.
+// Admission must be counted before the send, or finish drives the admission
+// WaitGroup negative and the node panics. Every request must end admitted
+// or rejected, and every admitted one settled.
+func TestAdmissionRaceStress(t *testing.T) {
+	s, err := New(Config{
+		Backends: []Backend{&fakeBackend{id: "instant0"}, &fakeBackend{id: "instant1"}},
+		MaxBatch: 1, QueueDepth: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const clients, perClient = 16, 400
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < perClient; r++ {
+				ctx := context.Background()
+				if r%2 == 0 {
+					ctx = cancelled
+				}
+				_, err := s.SubmitDetailed(ctx, img(float32(c)))
+				if err != nil && !errors.Is(err, ErrQueueFull) && !errors.Is(err, context.Canceled) {
+					t.Errorf("client %d: unexpected error %v", c, err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	mustShutdown(t, s)
+	st := s.Stats()
+	if settled := st.Completed + st.Expired + st.Failed; st.Admitted != settled {
+		t.Fatalf("admitted %d, settled %d (completed %d, expired %d, failed %d)",
+			st.Admitted, settled, st.Completed, st.Expired, st.Failed)
+	}
+	if st.Admitted+st.Rejected != clients*perClient {
+		t.Fatalf("admitted %d + rejected %d, want %d requests", st.Admitted, st.Rejected, clients*perClient)
+	}
+	if st.Completed == 0 {
+		t.Fatal("no request completed")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New with no backends should fail")

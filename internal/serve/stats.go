@@ -85,8 +85,10 @@ func (c *statsCollector) admit() {
 	c.mu.Unlock()
 }
 
+// reject turns a provisional admit into a rejection.
 func (c *statsCollector) reject() {
 	c.mu.Lock()
+	c.admitted--
 	c.rejected++
 	c.mu.Unlock()
 }
